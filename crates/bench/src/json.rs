@@ -93,7 +93,16 @@ use serde::{Deserialize, DeserializeError, Serialize, Value};
 /// `--assert-identical` byte gate sees only the deterministic span
 /// counts. v8 baselines are rejected only for the version stamp —
 /// counters are unchanged — so re-blessing is a plain re-run.
-pub const SCHEMA_VERSION: u64 = 9;
+///
+/// v10: the `node_cold_solves` counter joined (branch-and-bound node LPs
+/// solved cold, roots included), and the MILP work counters
+/// (`simplex_pivots`, `dual_pivots`, `lp_solves`, `milp_nodes`,
+/// `node_warm_starts`, `basis_refactorizations`, `eta_updates`) shifted:
+/// a down-branch that first bounds a variable above now warm-starts by
+/// appending the bound row instead of solving cold. A v9 baseline lacks
+/// the new counter and gates the shifted ones against the cold-solve
+/// figures, so it is rejected.
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// Counters whose *growth* reports an optimization engaging harder, not
 /// the solver working harder; the `--compare` gate never flags them.
@@ -601,6 +610,7 @@ mod tests {
             warm_start_pivots_saved: 7,
             dual_pivots: 8,
             node_warm_starts: 4,
+            node_cold_solves: 1,
             tree_columns_generated: 1,
             basis_refactorizations: 2,
             eta_updates: 15,
@@ -658,7 +668,7 @@ mod tests {
         let parsed = BenchRecord::from_json(&rec.to_json()).unwrap();
         assert_eq!(parsed, rec, "emit -> parse must be the identity");
         assert_eq!(parsed.schema_version, SCHEMA_VERSION);
-        assert_eq!(SCHEMA_VERSION, 9, "phase profiles entered the documents at v9");
+        assert_eq!(SCHEMA_VERSION, 10, "node_cold_solves entered the counters at v10");
         assert_eq!(parsed.counters.len(), Stats::default().named().len());
         // Phase rows roundtrip too, and a pre-v9 document without the
         // `phases` field parses as an empty profile.

@@ -827,6 +827,7 @@ fn record_milp(stats: &mut Stats, res: &bagsched_milp::MilpResult) {
     stats.milp_nodes += res.nodes as u64;
     stats.dual_pivots += res.dual_pivots as u64;
     stats.node_warm_starts += res.node_warm_starts as u64;
+    stats.node_cold_solves += res.node_cold_solves as u64;
     stats.tree_columns_generated += res.tree_columns as u64;
     stats.basis_refactorizations += res.basis_refactorizations as u64;
     stats.eta_updates += res.eta_updates as u64;

@@ -129,6 +129,12 @@ pub struct Stats {
     /// savings-style counter: growth means warm starts engage more, and
     /// the bench growth gate exempts it.
     pub node_warm_starts: u64,
+    /// Branch-and-bound node LPs solved cold: every root without a seed
+    /// basis, plus any node whose inherited basis the dual engine could
+    /// not absorb. With the dual engine on this stays close to the
+    /// number of branch-and-bound roots; growth means warm starts were
+    /// lost.
+    pub node_cold_solves: u64,
     /// Pattern columns priced *inside* the branch-and-bound tree against
     /// node duals and grafted into the restricted MILP (distinct from
     /// `columns_generated`, which counts root master-LP pricing).
@@ -232,6 +238,7 @@ impl Stats {
         self.warm_start_pivots_saved += other.warm_start_pivots_saved;
         self.dual_pivots += other.dual_pivots;
         self.node_warm_starts += other.node_warm_starts;
+        self.node_cold_solves += other.node_cold_solves;
         self.tree_columns_generated += other.tree_columns_generated;
         self.basis_refactorizations += other.basis_refactorizations;
         self.eta_updates += other.eta_updates;
@@ -255,7 +262,7 @@ impl Stats {
     /// The counters as `(name, value)` pairs, in schema order. The bench
     /// JSON emitter and the CLI both render from this single source so the
     /// on-disk schema cannot drift from the struct.
-    pub fn named(&self) -> [(&'static str, u64); 33] {
+    pub fn named(&self) -> [(&'static str, u64); 34] {
         [
             ("patterns_enumerated", self.patterns_enumerated),
             ("simplex_pivots", self.simplex_pivots),
@@ -272,6 +279,7 @@ impl Stats {
             ("warm_start_pivots_saved", self.warm_start_pivots_saved),
             ("dual_pivots", self.dual_pivots),
             ("node_warm_starts", self.node_warm_starts),
+            ("node_cold_solves", self.node_cold_solves),
             ("tree_columns_generated", self.tree_columns_generated),
             ("basis_refactorizations", self.basis_refactorizations),
             ("eta_updates", self.eta_updates),
@@ -398,6 +406,7 @@ mod tests {
             warm_start_pivots_saved: 13,
             dual_pivots: 14,
             node_warm_starts: 15,
+            node_cold_solves: 34,
             tree_columns_generated: 16,
             basis_refactorizations: 17,
             eta_updates: 18,

@@ -11,9 +11,12 @@
 //! which the parent's optimal basis stays dual feasible. Each node hands
 //! its final basis ([`crate::simplex::WarmState`]) to its children, which
 //! re-optimize with the dual simplex ([`crate::dual::reoptimize`])
-//! instead of a cold phase-1/phase-2 solve; any change the dual engine
-//! cannot absorb (numerical singularity, a bound shape the tableau lacks
-//! a row for) falls back to the cold solve. Basis hand-off is by
+//! instead of a cold phase-1/phase-2 solve. A down-branch that gives a
+//! variable its first finite upper bound is absorbed too: the dual engine
+//! appends the bound row to the inherited basis. Cold solves, counted in
+//! [`MilpResult::node_cold_solves`], remain for roots without a seed
+//! basis, numerical failures (a singular refactorization or dual step)
+//! and siblings of bases too large to share. Basis hand-off is by
 //! reference count: small tableaus are shared with both children, large
 //! ones only with the dive child (the sibling re-solves cold on
 //! backtrack) to bound memory by O(1) tableaus instead of O(depth).
@@ -165,6 +168,10 @@ pub struct MilpResult {
     pub dual_pivots: usize,
     /// Node LPs that started from the parent basis instead of cold.
     pub node_warm_starts: usize,
+    /// Node LPs solved cold (phase 1/phase 2 from scratch): every root
+    /// without a seed basis, plus any node, or post-pricing re-solve,
+    /// whose inherited basis the dual engine could not absorb.
+    pub node_cold_solves: usize,
     /// Columns appended by the in-tree pricer.
     pub tree_columns: usize,
     /// Basis refactorizations across all accepted LP solves.
@@ -263,6 +270,7 @@ pub fn solve_milp_seeded(
         presolve_bounds_tightened: 0,
         dual_pivots: 0,
         node_warm_starts: 0,
+        node_cold_solves: 0,
         tree_columns: 0,
         basis_refactorizations: 0,
         eta_updates: 0,
@@ -301,6 +309,7 @@ pub fn solve_milp_seeded(
     let mut lp_solves = 0usize;
     let mut dual_pivots = 0usize;
     let mut node_warm_starts = 0usize;
+    let mut node_cold_solves = 0usize;
     let mut tree_columns = 0usize;
     let mut basis_refactorizations = 0usize;
     let mut eta_updates = 0usize;
@@ -378,6 +387,7 @@ pub fn solve_milp_seeded(
                 }
             }
             let mut lp = lp.unwrap_or_else(|| {
+                node_cold_solves += 1;
                 if opts.dual_simplex {
                     let (l, s) = simplex::solve_with_state(&work, iter_limit);
                     state = s;
@@ -473,6 +483,7 @@ pub fn solve_milp_seeded(
                             None => None,
                         };
                         lp = relp.unwrap_or_else(|| {
+                            node_cold_solves += 1;
                             if opts.dual_simplex {
                                 let (l, s) = simplex::solve_with_state(&work, iter_limit);
                                 state = s;
@@ -585,6 +596,7 @@ pub fn solve_milp_seeded(
             presolve_bounds_tightened,
             dual_pivots,
             node_warm_starts,
+            node_cold_solves,
             tree_columns,
             basis_refactorizations,
             eta_updates,
@@ -616,6 +628,7 @@ pub fn solve_milp_seeded(
                 presolve_bounds_tightened,
                 dual_pivots,
                 node_warm_starts,
+                node_cold_solves,
                 tree_columns,
                 basis_refactorizations,
                 eta_updates,
@@ -632,6 +645,7 @@ pub fn solve_milp_seeded(
             presolve_bounds_tightened,
             dual_pivots,
             node_warm_starts,
+            node_cold_solves,
             tree_columns,
             basis_refactorizations,
             eta_updates,
@@ -795,6 +809,32 @@ mod tests {
             warm.lp_iterations,
             cold.lp_iterations
         );
+    }
+
+    /// Integer variables on `[0, inf)`: down-branches impose first upper
+    /// bounds, which the dual engine absorbs as appended bound rows, so
+    /// the root is the only cold node LP. The cold mode solves every node
+    /// LP cold.
+    #[test]
+    fn unbounded_down_branches_warm_start_every_child() {
+        let mut m = Model::new();
+        let vars: Vec<_> = (0..6)
+            .map(|j| m.add_int_var(-((j % 3 + 2) as f64) - j as f64 * 1e-9, 0.0, f64::INFINITY))
+            .collect();
+        for k in 0..3 {
+            let terms: Vec<_> =
+                vars.iter().enumerate().map(|(j, &v)| (v, ((j + k) % 4 + 2) as f64)).collect();
+            m.add_con(&terms, Le, 19.0 + k as f64);
+        }
+        let warm = solve_milp(&m, &MilpOptions::default());
+        let cold = solve_milp(&m, &MilpOptions { dual_simplex: false, ..Default::default() });
+        assert_eq!(warm.status, MilpStatus::Optimal);
+        assert_eq!(warm.status, cold.status);
+        assert_close(warm.objective, cold.objective);
+        assert!(warm.nodes > 1, "the witness must branch");
+        assert_eq!(warm.node_cold_solves, 1, "only the root may solve cold");
+        assert_eq!(warm.node_warm_starts, warm.lp_solves - 1);
+        assert_eq!(cold.node_cold_solves, cold.lp_solves);
     }
 
     /// In-tree pricing: a covering IP whose initial pool admits only a
@@ -966,6 +1006,28 @@ mod tests {
             let n = values.len();
             let mut m = Model::new();
             let vars: Vec<_> = (0..n).map(|j| m.add_int_var(-(values[j] as f64), 0.0, 2.0)).collect();
+            let terms: Vec<_> = vars.iter().enumerate().map(|(j, &v)| (v, weights[j] as f64)).collect();
+            m.add_con(&terms, Le, cap as f64);
+            let warm = solve_milp(&m, &MilpOptions::default());
+            let cold = solve_milp(&m, &MilpOptions { dual_simplex: false, ..Default::default() });
+            proptest::prop_assert_eq!(warm.status, cold.status);
+            proptest::prop_assert!((warm.objective - cold.objective).abs() < 1e-6,
+                "warm={} cold={}", warm.objective, cold.objective);
+        }
+
+        /// The same agreement with integer variables on `[0, inf)`: every
+        /// first down-branch on a variable gives it its first finite upper
+        /// bound, which the dual engine absorbs by appending a bound row.
+        #[test]
+        fn dual_engine_agrees_with_cold_on_unbounded_int_vars(
+            values in proptest::collection::vec(1u32..20, 4..8),
+            weights in proptest::collection::vec(1u32..10, 8),
+            cap in 5u32..30,
+        ) {
+            let n = values.len();
+            let mut m = Model::new();
+            let vars: Vec<_> =
+                (0..n).map(|j| m.add_int_var(-(values[j] as f64), 0.0, f64::INFINITY)).collect();
             let terms: Vec<_> = vars.iter().enumerate().map(|(j, &v)| (v, weights[j] as f64)).collect();
             m.add_con(&terms, Le, cap as f64);
             let warm = solve_milp(&m, &MilpOptions::default());

@@ -19,6 +19,15 @@
 //!   and the variable's own bound row by `-d`;
 //! * lowering `ub` by `d` shifts only the bound row, by `-d`.
 //!
+//! A variable whose upper bound becomes finite for the first time (every
+//! first down-branch on a `[lb, inf)` pattern variable) has no bound row
+//! yet. The engine appends one, `x'_j <= ub - lb`, with a fresh slack
+//! column basic in it — the standard branch-and-price move. The new
+//! slack's dual is zero, so every reduced cost is unchanged and the basis
+//! stays dual feasible; if `x_j` is basic the basis is refactorized once.
+//! A violated new row is then just one more primal-infeasible row for the
+//! dual pivots below.
+//!
 //! The deltas are applied to the stored normalized RHS `b0` and the basic
 //! solution is refreshed with one FTRAN. Per dual pivot: the leaving row
 //! is the most primal-infeasible basic, its inverse row `rho = B^-T e_r`
@@ -62,13 +71,15 @@ pub struct DualOutcome {
 /// Re-optimize `model` from a previous optimal basis after variable-bound
 /// changes (and/or appended `[0, inf)` columns / objective edits).
 ///
-/// Returns `None` — leaving `state` in an unspecified but unused-able
-/// state only on the singular path; callers must treat `None` as "discard
-/// the state and solve cold" — when the change cannot be absorbed:
-/// different constraint count, a finite upper bound imposed on a variable
-/// that never had a bound row, a bound *relaxation* to infinity, an
-/// appended column with non-`[0, inf)` bounds, or a numerically singular
-/// dual step.
+/// A newly finite upper bound is absorbed by appending its bound row to
+/// `state` (see the module docs).
+///
+/// Returns `None` when the change cannot be absorbed: different
+/// constraint count, a bound *relaxation* to infinity, an appended column
+/// with non-`[0, inf)` bounds, a numerically singular refactorization
+/// after appending bound rows, or a numerically singular dual step. The
+/// last two leave `state` unusable; callers must treat `None` as "discard
+/// the state and solve cold".
 pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Option<DualOutcome> {
     let _span = bagsched_types::obs::Span::enter("milp.dual");
     if model.cons.len() != state.num_cons {
@@ -81,6 +92,7 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         return None;
     }
     let mut changed: Vec<(usize, f64, f64)> = Vec::new(); // (var, d_lb, bound-row rhs delta)
+    let mut fresh_rows: Vec<usize> = Vec::new(); // vars whose ub just became finite
     for (j, (v, &(lb_old, ub_old))) in model.vars.iter().zip(&state.bounds).enumerate() {
         if v.lb == lb_old && v.ub == ub_old {
             continue;
@@ -96,14 +108,17 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         let d_range = match (ub_old.is_finite(), v.ub.is_finite()) {
             (true, true) => (v.ub - v.lb) - (ub_old - lb_old),
             (false, false) => 0.0,
-            // A newly finite ub needs a bound row the basis does not
-            // have; relaxing a finite ub to infinity would need to delete
-            // one. Neither is a branching move: cold path.
-            _ => return None,
+            // A newly finite ub (every first down-branch on a variable)
+            // gets a fresh bound row with RHS 0, so its delta is the
+            // whole new range.
+            (false, true) => {
+                fresh_rows.push(j);
+                (v.ub - v.lb).max(0.0)
+            }
+            // Relaxing a finite ub to infinity would need to delete the
+            // bound row; never a branching move: cold path.
+            (true, false) => return None,
         };
-        if v.ub.is_finite() && state.bound_row_of_var.get(j).copied().flatten().is_none() {
-            return None;
-        }
         changed.push((j, d_lb, d_range));
     }
 
@@ -111,6 +126,9 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
         return None;
     }
     let (rf0, eu0) = state.counters();
+    if !state.append_bound_rows(&fresh_rows) {
+        return None;
+    }
 
     // ---- Translate bound deltas into RHS deltas on `b0` and refresh
     // the basic solution with one FTRAN. ----
@@ -122,7 +140,7 @@ pub fn reoptimize(model: &Model, iter_limit: usize, state: &mut WarmState) -> Op
                 }
             }
             if d_range != 0.0 {
-                let br = state.bound_row_of_var[j].expect("checked above");
+                let br = state.bound_row_of_var[j].expect("a finite ub owns a bound row");
                 // Bound rows are built with nonnegative RHS: sign = +1.
                 state.c.b0[br] += d_range;
             }
@@ -376,15 +394,63 @@ mod tests {
     }
 
     #[test]
-    fn newly_finite_ub_rejected() {
-        // The variable never had a bound row: the basis cannot encode
-        // the new ub, so the engine must hand back to the cold path.
+    fn newly_finite_ub_absorbed() {
+        // min x + 2y s.t. x + y >= 4: x = 4 carries the cover, y sits
+        // nonbasic at 0. Bounding y from above appends a bound row that
+        // meets the basis only in its own slack: no pivot, no
+        // refactorization, and the warm answer is the cold one.
         let mut m = Model::new();
-        let x = m.add_var(-1.0, 0.0, f64::INFINITY);
-        m.add_con(&[(x, 1.0)], Le, 9.0);
+        let x = m.add_var(1.0, 0.0, f64::INFINITY);
+        let y = m.add_var(2.0, 0.0, f64::INFINITY);
+        m.add_con(&[(x, 1.0), (y, 1.0)], Ge, 4.0);
         let mut state = warm_of(&m);
-        m.set_bounds(x, 0.0, 4.0);
-        assert!(reoptimize(&m, 10_000, &mut state).is_none());
+        m.set_bounds(y, 0.0, 3.0);
+        let out = reoptimize(&m, 10_000, &mut state).expect("bound row appended: warm path");
+        let cold = simplex::solve(&m, 10_000);
+        assert_eq!(out.lp.status, cold.status);
+        assert_close(out.lp.objective, cold.objective);
+        assert_eq!(out.dual_pivots, 0, "the optimum already respects y <= 3");
+        assert_eq!(out.lp.refactorizations, 0, "a nonbasic variable keeps the eta file");
+        assert_eq!(state.bound_row_of_var[y.0], Some(1));
+    }
+
+    #[test]
+    fn newly_finite_ub_on_basic_var_refactorizes_and_matches_cold() {
+        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 with x, y on
+        // [0, inf): optimum (2, 6), both basic. Each down-branch bounds a
+        // basic variable for the first time, which couples the new row to
+        // the basis and forces the refactorization path.
+        let mut m = Model::new();
+        let x = m.add_var(-3.0, 0.0, f64::INFINITY);
+        let y = m.add_var(-5.0, 0.0, f64::INFINITY);
+        m.add_con(&[(x, 1.0)], Le, 4.0);
+        m.add_con(&[(y, 2.0)], Le, 12.0);
+        m.add_con(&[(x, 3.0), (y, 2.0)], Le, 18.0);
+        let mut state = warm_of(&m);
+        // "y <= 4": optimum x = 10/3, y = 4, z = -30.
+        m.set_bounds(y, 0.0, 4.0);
+        let out = reoptimize(&m, 10_000, &mut state).expect("basic var: refactorized warm path");
+        let cold = simplex::solve(&m, 10_000);
+        assert_eq!(out.lp.status, LpStatus::Optimal);
+        assert_close(out.lp.objective, cold.objective);
+        assert_close(out.lp.objective, -30.0);
+        assert_close(out.lp.x[1], 4.0);
+        assert!(out.dual_pivots >= 1, "y = 6 violates the new row: the dual engine must pivot");
+        assert!(out.lp.refactorizations >= 1, "a basic variable's new row must refactorize");
+        // "x <= 3" on the child: a second appended row, x basic again;
+        // optimum x = 3, y = 4, z = -29.
+        m.set_bounds(x, 0.0, 3.0);
+        let out = reoptimize(&m, 10_000, &mut state).expect("second appended row: warm path");
+        let cold = simplex::solve(&m, 10_000);
+        assert_eq!(out.lp.status, LpStatus::Optimal);
+        assert_close(out.lp.objective, cold.objective);
+        assert_close(out.lp.objective, -29.0);
+        assert!(m.is_feasible_point(&out.lp.x, 1e-9));
+        // The appended rows are ordinary bound rows from here on: a
+        // further tightening is a plain RHS delta.
+        m.set_bounds(y, 0.0, 1.0);
+        let out = reoptimize(&m, 10_000, &mut state).expect("tightening an appended row");
+        assert_close(out.lp.objective, simplex::solve(&m, 10_000).objective);
     }
 
     #[test]
@@ -488,11 +554,12 @@ mod tests {
         assert_close(out.lp.objective, cold.objective);
     }
 
-    /// Seeded sweep: random bounded LPs, random bound tightenings — the
-    /// warm dual re-solve must agree with a cold solve on status and
-    /// objective every time.
-    #[test]
-    fn random_bound_changes_match_cold() {
+    /// Seeded sweep: random LPs, random bound tightenings the way
+    /// branching would — the warm dual re-solve must agree with a cold
+    /// solve on status and objective every time. Variables start on
+    /// `[0, ub0]`; with `ub0 = inf` the first upper bound on a variable
+    /// appends a bound row to the warm state.
+    fn sweep_bound_changes_against_cold(ub0: f64) {
         struct Rng(u64);
         impl Rng {
             fn f(&mut self, lo: f64, hi: f64) -> f64 {
@@ -509,7 +576,7 @@ mod tests {
             let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
             let n = rng.u(3, 6);
             let mut m = Model::new();
-            let vars: Vec<_> = (0..n).map(|_| m.add_var(rng.f(-1.0, 2.0), 0.0, 10.0)).collect();
+            let vars: Vec<_> = (0..n).map(|_| m.add_var(rng.f(-1.0, 2.0), 0.0, ub0)).collect();
             for _ in 0..rng.u(2, 5) {
                 let terms: Vec<_> = vars.iter().map(|&v| (v, rng.f(0.1, 1.5))).collect();
                 m.add_con(&terms, if rng.f(0.0, 1.0) < 0.5 { Ge } else { Le }, rng.f(1.0, 12.0));
@@ -520,13 +587,15 @@ mod tests {
             }
             let mut state = state.unwrap();
             for round in 0..4 {
-                // Tighten a random bound the way branching would.
+                // Tighten a random bound; an infinite ub tightens as if
+                // it were `lb + 10`.
                 let j = rng.u(0, n - 1);
                 let (lb, ub) = m.bounds(vars[j]);
+                let top = if ub.is_finite() { ub } else { lb + 10.0 };
                 if rng.f(0.0, 1.0) < 0.5 {
-                    m.set_bounds(vars[j], lb, (lb + rng.f(0.0, ub - lb)).min(ub));
+                    m.set_bounds(vars[j], lb, (lb + rng.f(0.0, top - lb)).min(ub));
                 } else {
-                    m.set_bounds(vars[j], (ub - rng.f(0.0, ub - lb)).max(lb), ub);
+                    m.set_bounds(vars[j], (top - rng.f(0.0, top - lb)).max(lb), ub);
                 }
                 let Some(out) = reoptimize(&m, 10_000, &mut state) else {
                     break; // singular step: cold fallback, nothing to check
@@ -551,5 +620,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn random_bound_changes_match_cold() {
+        sweep_bound_changes_against_cold(10.0);
+    }
+
+    #[test]
+    fn random_newly_finite_ubs_match_cold() {
+        sweep_bound_changes_against_cold(f64::INFINITY);
     }
 }

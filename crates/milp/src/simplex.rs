@@ -282,10 +282,13 @@ pub struct WarmState {
     /// re-solve means the warm basis is stale (the dual engine absorbs
     /// the mismatch instead — see [`crate::dual::reoptimize`]).
     pub(crate) bounds: Vec<(f64, f64)>,
-    /// Per variable seen at build time: the row carrying its
-    /// `x' <= ub - lb` bound row, if the variable had a finite upper
-    /// bound. The dual engine edits these rows' RHS when branching
-    /// tightens bounds. Appended columns (always `[0, inf)`) get `None`.
+    /// Per variable: the row carrying its `x' <= ub - lb` bound row, if
+    /// the variable has a finite upper bound. Rows are built for the
+    /// bounds seen at build time and appended by the dual engine when
+    /// branching bounds a variable for the first time
+    /// ([`WarmState::append_bound_rows`]); the engine edits their RHS
+    /// when branching tightens bounds. Appended columns (always
+    /// `[0, inf)`) start with `None`.
     pub(crate) bound_row_of_var: Vec<Option<usize>>,
     pub(crate) num_cons: usize,
 }
@@ -304,6 +307,37 @@ impl WarmState {
     /// per-solve deltas.
     pub(crate) fn counters(&self) -> (u64, u64) {
         (self.c.factor.refactorizations, self.c.factor.eta_updates)
+    }
+
+    /// Give each variable in `vars` (none may own a bound row yet) a
+    /// fresh `x' <= ub - lb` row: a `(r, 1.0)` entry on its column, plus
+    /// a new slack column basic in row `r`. The row's RHS in `b0` starts
+    /// at 0 — the caller adds the range as an ordinary bound-row delta
+    /// and refreshes `xb`. The new slack's dual is zero, so every reduced
+    /// cost, and hence dual feasibility, is untouched.
+    ///
+    /// For a nonbasic variable the new row meets the basis only in its
+    /// own slack (`B' = diag(B, 1)`) and the eta file stays valid as is;
+    /// a basic one couples the row to the basis, which is refactorized
+    /// once. Returns `false` when that refactorization is numerically
+    /// singular (the state is then unusable).
+    pub(crate) fn append_bound_rows(&mut self, vars: &[usize]) -> bool {
+        let mut refactor = false;
+        for &j in vars {
+            let col = self.var_of_col.iter().position(|&v| v == Some(j)).expect("var has a column");
+            let (r, slack) = (self.c.rows, self.c.ncols());
+            self.c.cols[col].push((r, 1.0));
+            refactor |= self.c.in_basis[col];
+            self.c.cols.push(vec![(r, 1.0)]);
+            self.c.in_basis.push(true);
+            self.c.basis.push(slack);
+            self.c.b0.push(0.0);
+            self.c.xb.push(0.0);
+            self.c.rows += 1;
+            self.var_of_col.push(None);
+            self.bound_row_of_var[j] = Some(r);
+        }
+        !refactor || self.c.factor.refactor(&self.c.cols, &mut self.c.basis)
     }
 }
 

@@ -12,7 +12,8 @@
 //!
 //! * `node_warm_starts` / `dual_pivots` — branch-and-bound child LPs
 //!   re-optimized from the parent basis by the dual simplex instead of
-//!   cold phase-1/phase-2 solves;
+//!   cold phase-1/phase-2 solves; `node_cold_solves` counts the node LPs
+//!   still solved cold (the roots);
 //! * `tree_columns_generated` — patterns priced *inside* the tree: the
 //!   root pool converged against the master duals, but the integral dive
 //!   struggled, so the knapsack pricing DFS re-ran against the node
@@ -42,6 +43,10 @@ fn main() {
     println!(
         "  node_warm_starts    {}  <- node LPs started from the parent basis",
         s.node_warm_starts
+    );
+    println!(
+        "  node_cold_solves    {}  <- node LPs solved cold (the B&B roots)",
+        s.node_cold_solves
     );
     println!("  dual_pivots         {}  <- what the branching bound changes cost", s.dual_pivots);
     println!("  simplex_pivots      {}  (total, all LPs)", s.simplex_pivots);

@@ -2,7 +2,7 @@
 //! tentpole): child-node LPs re-optimize from the parent basis via the
 //! dual simplex instead of cold phase-1/phase-2 solves.
 //!
-//! Two claims are pinned:
+//! Three claims are pinned:
 //!
 //! 1. **Work:** on the tight clustered witness the dual engine must cut
 //!    the simplex+dual pivot total of the restricted MILP by a wide
@@ -10,11 +10,14 @@
 //!    PR-4 enriched-pool baseline; the pin asserts ≥2x so scheduler and
 //!    pool-composition noise cannot flake it), and the run-wide pivot
 //!    total must drop too.
-//! 2. **Semantics:** warm-starting changes the work, not the answers —
+//! 2. **Coverage:** every node but a root warm-starts — down-branches
+//!    that give a pattern variable its first upper bound included — so
+//!    the cold node LPs never outnumber the branch-and-bound roots.
+//! 3. **Semantics:** warm-starting changes the work, not the answers —
 //!    verdicts and makespans must be byte-identical to the cold-node
 //!    path across a seeded sweep of every generator family.
 
-use bagsched::eptas::{EptasConfig, EptasResult, Solver};
+use bagsched::eptas::{obs, EptasConfig, EptasResult, Solver};
 use bagsched::types::gen;
 
 fn run(inst: &bagsched::types::Instance, dual: bool) -> EptasResult {
@@ -47,6 +50,32 @@ fn node_warm_starts_cut_restricted_milp_pivots() {
         "total pivots {} (warm) not below {} (cold)",
         ws.simplex_pivots,
         cold.report.stats.simplex_pivots
+    );
+}
+
+/// Cold node LPs are roots only: one `milp.bnb` span opens per
+/// branch-and-bound solve, i.e. per root, and no branched node may fall
+/// back to a cold solve. The witness branches down on pattern variables
+/// bounded only below; an engine that rejected their first upper bound
+/// solved 16 of its 90 nodes cold.
+#[test]
+fn cold_node_solves_do_not_exceed_bnb_roots() {
+    let inst = gen::clustered(300, 100, 100, 5, 2);
+    let rec = obs::Recorder::new();
+    let warm = {
+        let _g = rec.install("test");
+        run(&inst, true)
+    };
+    assert!(!warm.report.fell_back_to_lpt, "witness instance must take the priced path");
+    let roots = rec.profile().get("milp.bnb").map_or(0, |p| p.count);
+    let s = &warm.report.stats;
+    assert!(roots > 0, "the witness must reach branch-and-bound");
+    assert!(s.milp_nodes > 10 * roots, "the witness must branch well below its roots");
+    assert!(s.node_cold_solves > 0, "an unseeded root is solved cold");
+    assert!(
+        s.node_cold_solves <= roots,
+        "{} cold node LPs over {roots} branch-and-bound roots",
+        s.node_cold_solves
     );
 }
 
